@@ -182,10 +182,32 @@ class BloomFilter:
         accounts as I/O, not query-path hashing. The live filter charges
         normally afterwards.
         """
-        key_list = list(keys)
+        key_list = keys if isinstance(keys, list) else list(keys)
         size = expected_entries if expected_entries is not None else len(key_list)
         bf = cls(max(size, 1), bits_per_key, stats=None)
-        bf.update(key_list)
+        # One pass, no per-key generator: the same digest and double
+        # hashing as :meth:`_positions`, inlined. Exact ``int`` keys (the
+        # engine's keys) inline fmix64 too; every other type goes through
+        # ``key_digest`` so the bits match ``add`` for any key.
+        bits = bf._bits
+        num_bits = bf.num_bits
+        probes = range(bf.num_hashes)
+        for key in key_list:
+            if type(key) is int:
+                h = key & _MASK64
+                h ^= h >> 33
+                h = (h * 0xFF51AFD7ED558CCD) & _MASK64
+                h ^= h >> 33
+                h = (h * 0xC4CEB9FE1A85EC53) & _MASK64
+                h ^= h >> 33
+            else:
+                h = key_digest(key)
+            h1 = h & 0xFFFFFFFF
+            h2 = (h >> 32) | 1
+            for i in probes:
+                position = (h1 + i * h2) % num_bits
+                bits[position >> 3] |= 1 << (position & 7)
+        bf._count = len(key_list)
         bf.stats = stats
         return bf
 

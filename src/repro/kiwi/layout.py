@@ -10,6 +10,7 @@ pointers on ``D`` per page, and Bloom filters per page.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterator
 
 from repro.core.config import EngineConfig
@@ -53,6 +54,15 @@ class KiWiFile(RunFile):
         candidates_max = [k for k in (entry_max, rt_max) if k is not None]
         self._min_key = min(candidates_min)
         self._max_key = max(candidates_max)
+        self._sum_tiles()
+
+    def _sum_tiles(self) -> None:
+        """Page and byte totals, kept because only page drops change them
+        (the manifest commit and compaction accounting read them often)."""
+        self._num_pages = sum(t.num_pages for t in self._tiles)
+        self._size_bytes = sum(t.size_bytes for t in self._tiles) + sum(
+            rt.size for rt in self.range_tombstones
+        )
 
     # ------------------------------------------------------------------
     # RunFile interface
@@ -72,13 +82,11 @@ class KiWiFile(RunFile):
 
     @property
     def num_pages(self) -> int:
-        return sum(t.num_pages for t in self._tiles)
+        return self._num_pages
 
     @property
     def size_bytes(self) -> int:
-        return sum(t.size_bytes for t in self._tiles) + sum(
-            rt.size for rt in self.range_tombstones
-        )
+        return self._size_bytes
 
     def might_contain(self, key: Any) -> bool:
         """Bounds, tile fences, then the tile's per-page BFs; no I/O."""
@@ -135,8 +143,7 @@ class KiWiFile(RunFile):
 
     def entries(self) -> Iterator[Entry]:
         """S-sorted stream across tiles (tiles are S-ordered and disjoint)."""
-        for tile in self._tiles:
-            yield from tile.entries_sorted_by_key()
+        return chain.from_iterable(t.entries_sorted_by_key() for t in self._tiles)
 
     # ------------------------------------------------------------------
     # Secondary range delete
@@ -178,6 +185,7 @@ class KiWiFile(RunFile):
         # (scan would index tiles that no longer exist).
         self._tiles = [t for t in self._tiles if not t.is_empty]
         self._fences = FencePointers([t.min_key for t in self._tiles])
+        self._sum_tiles()
         after_pages = self.num_pages
         after_bytes = self.size_bytes
         dropped_pages = before_pages - after_pages

@@ -9,7 +9,9 @@ lookups stay fast once a page is in memory (binary search on ``S``).
 
 Construction takes a contiguous ``S``-sorted slice of entries (the tile's
 ``S`` range), redistributes it into pages by ``D`` rank, then re-sorts each
-page on ``S`` — producing exactly the invariants above.
+page on ``S`` — producing exactly the invariants above. Because the input
+is already ``S``-sorted, one *stable* sort on ``D`` orders it by
+``(D, S)``: no per-entry tuple token is needed for the tie-break.
 
 Entries without a delete key (point tombstones) sort before all real
 delete keys, so tombstones cluster in a tile's first page(s); those pages
@@ -18,29 +20,25 @@ carry ``None`` delete-fence bounds and are never full-dropped.
 
 from __future__ import annotations
 
-import heapq
+from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.core.errors import KeyWeavingError
 from repro.core.stats import Statistics
 from repro.filters.bloom import BloomFilter
 from repro.filters.fence import DeleteFencePointers
+from repro.lsm.iterator import merge_sorted_streams
 from repro.storage.disk import SimulatedDisk
 from repro.storage.entry import Entry
 from repro.storage.page import Page
 
+_BY_KEY = attrgetter("key")
+_BY_DELETE_KEY = attrgetter("delete_key")
 
-def _delete_order_token(entry: Entry) -> tuple:
-    """Sort token placing no-delete-key entries first, then by ``D``.
-
-    Ties on ``D`` break by sort key so construction is deterministic.
-    """
-    if entry.delete_key is None:
-        return (0, 0, entry.key)
-    return (1, entry.delete_key, entry.key)
+_Bounds = tuple[Any, Any] | None
 
 
-def _page_bounds(page: Page) -> tuple[Any, Any] | None:
+def _page_bounds(page: Page) -> _Bounds:
     """(min D, max D) of a page, or ``None`` if any entry lacks a delete key."""
     if any(e.delete_key is None for e in page):
         return None
@@ -86,24 +84,33 @@ class DeleteTile:
         # longer holds the key), never incorrect.
         self._min_key = entries[0].key
         self._max_key = entries[-1].key
-
-        by_delete_key = sorted(entries, key=_delete_order_token)
+        with_delete_key = [e for e in entries if e.delete_key is not None]
+        with_delete_key.sort(key=_BY_DELETE_KEY)
+        by_delete_key = [e for e in entries if e.delete_key is None]
+        by_delete_key += with_delete_key
         self._pages: list[Page] = []
         self._blooms: list[BloomFilter] = []
+        bounds: list[_Bounds] = []
         for start in range(0, len(by_delete_key), page_entries):
-            chunk = sorted(
-                by_delete_key[start : start + page_entries], key=lambda e: e.key
-            )
+            chunk = by_delete_key[start : start + page_entries]
+            # ``chunk`` is in D order here, so its D-bounds are its ends.
+            if chunk[0].delete_key is None:
+                bounds.append(None)
+            else:
+                bounds.append((chunk[0].delete_key, chunk[-1].delete_key))
+            chunk.sort(key=_BY_KEY)
             page = Page(page_entries, chunk).seal()
             self._pages.append(page)
             self._blooms.append(
-                BloomFilter.from_keys(
-                    (e.key for e in page), bits_per_key, stats=stats
-                )
+                BloomFilter.from_keys(page.keys, bits_per_key, stats=stats)
             )
         self._bits_per_key = bits_per_key
-        self._rebuild_delete_fences()
-        self._check_weave_invariant()
+        self._set_delete_bounds(bounds)
+        # The S-ordered compaction stream, tagged with the page list it
+        # reflects: a copy, so the caller may reuse its list.
+        self._sorted: tuple[list[Page], list[Entry]] | None = (
+            self._pages, list(entries)
+        )
 
     @classmethod
     def from_pages(
@@ -131,34 +138,32 @@ class DeleteTile:
         tile._stats = stats
         tile._min_key = min_key
         tile._max_key = max_key
+        tile._sorted = None
         tile._pages = [
             Page(page_entries, chunk).seal() for chunk in page_entry_lists
         ]
         tile._blooms = [
-            BloomFilter.from_keys(
-                (e.key for e in page), bits_per_key, stats=stats
-            )
+            BloomFilter.from_keys(page.keys, bits_per_key, stats=stats)
             for page in tile._pages
         ]
         tile._bits_per_key = bits_per_key
-        tile._rebuild_delete_fences()
-        tile._check_weave_invariant()
+        tile._set_delete_bounds([_page_bounds(p) for p in tile._pages])
         return tile
 
     # ------------------------------------------------------------------
     # Invariants & metadata
     # ------------------------------------------------------------------
 
-    def _rebuild_delete_fences(self) -> None:
-        self._delete_fences = DeleteFencePointers(
-            [_page_bounds(p) for p in self._pages]
-        )
+    def _set_delete_bounds(self, bounds: list[_Bounds]) -> None:
+        """Install per-page D-bounds as delete fences, checking the weave."""
+        self._check_weave_invariant(bounds)
+        self._delete_fences = DeleteFencePointers(bounds)
 
-    def _check_weave_invariant(self) -> None:
+    @staticmethod
+    def _check_weave_invariant(page_bounds: list[_Bounds]) -> None:
         """Pages must be non-decreasing in delete-key order."""
         previous_max: Any = None
-        for page in self._pages:
-            bounds = _page_bounds(page)
+        for bounds in page_bounds:
             if bounds is None:
                 continue
             min_d, max_d = bounds
@@ -190,7 +195,7 @@ class DeleteTile:
 
     @property
     def num_entries(self) -> int:
-        return sum(len(p) for p in self._pages)
+        return sum(map(len, self._pages))
 
     @property
     def size_bytes(self) -> int:
@@ -266,8 +271,18 @@ class DeleteTile:
         return result
 
     def entries_sorted_by_key(self) -> Iterator[Entry]:
-        """Merge the tile's pages back into one ``S``-sorted stream."""
-        return heapq.merge(*self._pages, key=lambda e: e.sort_token())
+        """The tile's entries as one ``S``-sorted stream.
+
+        Kept from construction. A page drop installs a new page list, so
+        after one (or :meth:`from_pages`) the stream is rebuilt once by
+        merging the pages; a reader racing the drop gets either snapshot.
+        """
+        pages = self._pages
+        cached = self._sorted
+        if cached is None or cached[0] is not pages:
+            cached = (pages, merge_sorted_streams(pages))
+            self._sorted = cached
+        return iter(cached[1])
 
     # ------------------------------------------------------------------
     # Secondary range delete support (mutation!)
@@ -303,11 +318,14 @@ class DeleteTile:
 
         surviving: list[Page] = []
         surviving_blooms: list[BloomFilter] = []
+        surviving_bounds: list[_Bounds] = []
         full_set = set(full)
         partial_set = set(partial)
         full_drops = 0
         partial_drops = 0
-        for index, (page, bloom) in enumerate(zip(self._pages, self._blooms)):
+        for index, (page, bloom, bounds) in enumerate(
+            zip(self._pages, self._blooms, self._delete_fences.bounds)
+        ):
             if index in full_set:
                 dropped_entries += len(page)
                 full_drops += 1
@@ -335,6 +353,7 @@ class DeleteTile:
                     # read was wasted but nothing changes.
                     surviving.append(page)
                     surviving_blooms.append(bloom)
+                    surviving_bounds.append(bounds)
                     continue
                 dropped_entries += removed
                 partial_drops += 1
@@ -346,20 +365,21 @@ class DeleteTile:
                     surviving.append(new_page)
                     surviving_blooms.append(
                         BloomFilter.from_keys(
-                            (e.key for e in new_page),
-                            self._bits_per_key,
-                            stats=self._stats,
+                            new_page.keys, self._bits_per_key, stats=self._stats
                         )
                     )
+                    surviving_bounds.append(_page_bounds(new_page))
                 # An emptied boundary page is released like a full drop,
                 # but it already cost the read.
                 continue
             surviving.append(page)
             surviving_blooms.append(bloom)
+            surviving_bounds.append(bounds)
 
-        self._pages = surviving
-        self._blooms = surviving_blooms
-        self._rebuild_delete_fences()
+        if dropped_entries:
+            self._pages = surviving
+            self._blooms = surviving_blooms
+            self._set_delete_bounds(surviving_bounds)
         return dropped_entries, full_drops, partial_drops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,6 +17,8 @@ sorted, which is what lets the read path bisect it.
 
 from __future__ import annotations
 
+from collections import deque
+from operator import ge
 from typing import Any
 
 from repro.core.config import EngineConfig
@@ -41,14 +43,16 @@ def build_run(
     """Materialize a sorted run as a list of files (S-ordered, disjoint).
 
     ``entries`` must be sorted on the sort key with unique keys (version
-    resolution happens upstream in the merge); the builder validates order
-    defensively because broken order silently corrupts every later read.
+    resolution happens upstream in the merge); the builder validates both
+    defensively because broken order silently corrupts every later read,
+    and a duplicate key would let a stale version shadow the newest.
     """
-    for i in range(len(entries) - 1):
-        if entries[i].key > entries[i + 1].key:
-            raise ValueError(
-                f"run not sorted: {entries[i].key!r} before {entries[i + 1].key!r}"
-            )
+    keys = [e.key for e in entries]
+    if any(map(ge, keys, keys[1:])):
+        i = next(i for i in range(len(keys) - 1) if keys[i] >= keys[i + 1])
+        raise ValueError(
+            f"run not sorted on unique keys: {keys[i]!r} before {keys[i + 1]!r}"
+        )
 
     if not entries and not range_tombstones:
         return []
@@ -121,7 +125,5 @@ def _entry_min(run_file: RunFile) -> Any:
 
 
 def _entry_max(run_file: RunFile) -> Any:
-    last_key = None
-    for entry in run_file.entries():
-        last_key = entry.key
-    return last_key
+    last = deque(run_file.entries(), maxlen=1)
+    return last[0].key if last else None

@@ -21,11 +21,15 @@ The resolution rules (§3.1.1):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from itertools import chain, groupby
+from operator import attrgetter
+from typing import Iterable, Iterator
 
-from repro.storage.entry import Entry, RangeTombstone
+from repro.storage.entry import Entry, EntryKind, RangeTombstone
+
+_BY_KEY = attrgetter("key")
+_BY_SEQNUM = attrgetter("seqnum")
 
 
 @dataclass
@@ -46,13 +50,25 @@ class MergeOutcome:
     invalid_entries_dropped: int = 0
 
 
-def merge_sorted_streams(streams: Iterable[Iterator[Entry]]) -> Iterator[Entry]:
-    """Heap-merge S-sorted streams into one stream ordered by sort token.
+def merge_sorted_streams(streams: Iterable[Iterable[Entry]]) -> list[Entry]:
+    """Merge S-sorted streams into one list ordered by sort token.
 
     For equal keys the most recent version (largest seqnum) comes first,
-    which the resolution pass below relies on.
+    which the resolution passes below rely on; entries equal on both key
+    and seqnum keep their stream order. That is exactly the order of
+    ``heapq.merge(*streams, key=Entry.sort_token)``, built from two
+    stable C-level sorts instead of a per-entry Python key: seqnum
+    descending first, then key.
     """
-    return heapq.merge(*streams, key=lambda e: e.sort_token())
+    merged = list(chain.from_iterable(streams))
+    merged.sort(key=_BY_SEQNUM, reverse=True)
+    merged.sort(key=_BY_KEY)
+    return merged
+
+
+def _newest_versions(merged: Iterable[Entry]) -> list[Entry]:
+    """The first (newest) entry of each equal-key group of a merged list."""
+    return [next(versions) for _, versions in groupby(merged, key=_BY_KEY)]
 
 
 def resolve_versions(
@@ -65,17 +81,10 @@ def resolve_versions(
     tombstone). Entries covered by a newer range tombstone are dropped
     even if they are the newest point version of their key.
     """
-    current_key: Any = object()
-    first_for_key = False
-    for entry in merged:
-        if entry.key != current_key:
-            current_key = entry.key
-            first_for_key = True
-        else:
-            first_for_key = False
-        if not first_for_key:
-            continue
-        if any(rt.covers(entry.key, entry.seqnum) for rt in range_tombstones):
+    for entry in _newest_versions(merged):
+        if range_tombstones and any(
+            rt.covers(entry.key, entry.seqnum) for rt in range_tombstones
+        ):
             continue
         yield entry
 
@@ -111,29 +120,25 @@ def merge_for_compaction(
         covering += extra_cover_tombstones
 
     merged = merge_sorted_streams(streams)
-    current_key: Any = object()
-    for entry in merged:
-        if entry.key != current_key:
-            current_key = entry.key
-            survivor = True
-        else:
-            survivor = False
-        if not survivor:
-            outcome.invalid_entries_dropped += 1
-            continue
-        if any(rt.covers(entry.key, entry.seqnum) for rt in covering):
-            outcome.invalid_entries_dropped += 1
-            continue
-        if entry.is_tombstone and into_last_level:
-            # Compacted with the last level: nothing older can exist, the
-            # delete is now persistent and the tombstone itself goes away.
-            outcome.dropped_tombstones.append(entry)
-            continue
-        outcome.entries.append(entry)
-
+    survivors = _newest_versions(merged)
+    if covering:
+        survivors = [
+            entry
+            for entry in survivors
+            if not any(rt.covers(entry.key, entry.seqnum) for rt in covering)
+        ]
+    outcome.invalid_entries_dropped = len(merged) - len(survivors)
     if into_last_level:
+        # Compacted with the last level: nothing older can exist, the
+        # delete is now persistent and the tombstone itself goes away.
+        for entry in survivors:
+            if entry.kind is EntryKind.TOMBSTONE:
+                outcome.dropped_tombstones.append(entry)
+            else:
+                outcome.entries.append(entry)
         outcome.dropped_range_tombstones.extend(range_tombstones)
     else:
+        outcome.entries = survivors
         outcome.range_tombstones.extend(
             sorted(range_tombstones, key=lambda rt: (rt.start, rt.seqnum))
         )

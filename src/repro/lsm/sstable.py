@@ -8,6 +8,7 @@ evaluation uses, and the layout KiWi degenerates to at ``h = 1``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterator
 
 from repro.core.config import EngineConfig
@@ -141,8 +142,7 @@ class SSTable(RunFile):
         return result
 
     def entries(self) -> Iterator[Entry]:
-        for page in self._pages:
-            yield from page
+        return chain.from_iterable(self._pages)
 
     def __len__(self) -> int:
         return self.meta.num_entries

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from operator import attrgetter, gt
 from typing import Any, Iterable, Iterator
 
 from repro.core.errors import PageFullError
 from repro.storage.entry import Entry
 
 _page_uid_counter = itertools.count()
+_SIZE = attrgetter("size")
 
 
 class Page:
@@ -35,7 +37,7 @@ class Page:
         Optional initial entries; must already be sorted on the sort key.
     """
 
-    __slots__ = ("capacity", "uid", "_entries", "_keys", "_sealed")
+    __slots__ = ("capacity", "uid", "_entries", "_keys", "_size_bytes", "_sealed")
 
     def __init__(self, capacity: int, entries: Iterable[Entry] = ()):
         self.uid = next(_page_uid_counter)
@@ -48,9 +50,10 @@ class Page:
                 f"{len(self._entries)} entries exceed page capacity {capacity}"
             )
         keys = [e.key for e in self._entries]
-        if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
+        if any(map(gt, keys, keys[1:])):
             raise ValueError("page entries must be sorted on the sort key")
         self._keys = keys
+        self._size_bytes = sum(map(_SIZE, self._entries))
         self._sealed = False
 
     # ------------------------------------------------------------------
@@ -69,6 +72,7 @@ class Page:
             )
         self._entries.append(entry)
         self._keys.append(entry.key)
+        self._size_bytes += entry.size
 
     def seal(self) -> "Page":
         """Freeze the page (no further appends); returns self for chaining."""
@@ -109,9 +113,14 @@ class Page:
         return self._keys[-1]
 
     @property
+    def keys(self) -> list[Any]:
+        """Sort keys in page order (read-only: the page's own list)."""
+        return self._keys
+
+    @property
     def size_bytes(self) -> int:
-        """Sum of declared entry sizes."""
-        return sum(e.size for e in self._entries)
+        """Sum of declared entry sizes (kept from construction/append)."""
+        return self._size_bytes
 
     @property
     def tombstone_count(self) -> int:

@@ -1228,9 +1228,7 @@ def _encode_run(run_file: Any) -> bytes:
             page_counts = []
             for page in tile.pages:
                 page_counts.append(len(page))
-                encoded_entries.extend(
-                    encode_durable_entry(entry) for entry in page
-                )
+                encoded_entries.extend(map(encode_durable_entry, page))
             tiles.append(
                 {"min": tile.min_key, "max": tile.max_key, "pages": page_counts}
             )
@@ -1243,9 +1241,7 @@ def _encode_run(run_file: Any) -> bytes:
         page_counts = []
         for page in run_file.pages:
             page_counts.append(len(page))
-            encoded_entries.extend(
-                encode_durable_entry(entry) for entry in page
-            )
+            encoded_entries.extend(map(encode_durable_entry, page))
         header = {
             "layout": "sstable",
             "meta": _meta_to_dict(run_file.meta),

@@ -130,6 +130,7 @@ def decode_range_tombstone(data: bytes, offset: int = 0) -> tuple[RangeTombstone
 
 _FULL_HEADER = struct.Struct("<BqqdI")
 _FULL_PUT = struct.Struct("<BqBI")
+_FULL_PUT_RECORD = struct.Struct("<BqqdIBqBI")  # _FULL_HEADER + _FULL_PUT
 _FULL_RANGE = struct.Struct("<qqqdI")
 
 _DKEY_NONE = 0
@@ -171,28 +172,42 @@ _pack_value = pack_value
 _unpack_value = unpack_value
 
 
+def _is_codec_int(value) -> bool:
+    """True for ``int`` and its subclasses, except ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def encode_durable_entry(entry: Entry) -> bytes:
-    """Serialize one entry for the durable backend (lossless round-trip)."""
-    if not isinstance(entry.key, int) or isinstance(entry.key, bool):
-        raise TypeError(
-            f"durable codec supports int sort keys, got {type(entry.key)}"
+    """Serialize one entry for the durable backend (lossless round-trip).
+
+    A put packs its header and put fields with one fused struct
+    (byte-identical to ``_FULL_HEADER`` followed by ``_FULL_PUT``).
+    """
+    key = entry.key
+    if type(key) is not int and not _is_codec_int(key):
+        raise TypeError(f"durable codec supports int sort keys, got {type(key)}")
+    if entry.kind is EntryKind.TOMBSTONE:
+        return _FULL_HEADER.pack(
+            _KIND_TOMBSTONE, entry.seqnum, key, entry.write_time, entry.size
         )
-    kind = _KIND_TOMBSTONE if entry.is_tombstone else _KIND_PUT
-    header = _FULL_HEADER.pack(
-        kind, entry.seqnum, entry.key, entry.write_time, entry.size
-    )
-    if entry.is_tombstone:
-        return header
-    if entry.delete_key is None:
+    dkey = entry.delete_key
+    if dkey is None:
         dkey_tag, dkey = _DKEY_NONE, 0
-    elif isinstance(entry.delete_key, int) and not isinstance(entry.delete_key, bool):
-        dkey_tag, dkey = _DKEY_INT, entry.delete_key
+    elif type(dkey) is int or _is_codec_int(dkey):
+        dkey_tag = _DKEY_INT
     else:
         raise TypeError(
-            f"durable codec supports int delete keys, got {type(entry.delete_key)}"
+            f"durable codec supports int delete keys, got {type(dkey)}"
         )
-    value_tag, payload = _pack_value(entry.value)
-    return header + _FULL_PUT.pack(dkey_tag, dkey, value_tag, len(payload)) + payload
+    value = entry.value
+    if type(value) is bytes:
+        value_tag, payload = _VALUE_BYTES, value
+    else:
+        value_tag, payload = pack_value(value)
+    return _FULL_PUT_RECORD.pack(
+        _KIND_PUT, entry.seqnum, key, entry.write_time, entry.size,
+        dkey_tag, dkey, value_tag, len(payload),
+    ) + payload
 
 
 def decode_durable_entry(data: bytes, offset: int = 0) -> tuple[Entry, int]:

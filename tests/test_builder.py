@@ -48,6 +48,16 @@ class TestSplitting:
         with pytest.raises(ValueError):
             build(shuffled)
 
+    @pytest.mark.parametrize("h", [1, 4])
+    def test_adjacent_duplicate_keys_rejected(self, h):
+        """Unique keys are the builder's contract: a duplicate would leave
+        two versions of one key in a run, with no seqnum order between them."""
+        older, newer = make_entries([5, 5], delete_keys=[1, 2])
+        run = make_entries([1, 2]) + [older, newer] + make_entries([9], seq_start=7)
+        config = lethe_config(1e9, delete_tile_pages=h, **TINY)
+        with pytest.raises(ValueError, match="5 before 5"):
+            build(run, config=config)
+
     def test_layout_dispatch(self):
         classic = build(make_entries(range(8)))
         assert isinstance(classic[0], SSTable)

@@ -108,6 +108,10 @@ class TestSecondaryDelete:
         assert dropped == expected
         assert kf.meta.num_entries == 32 - expected
         assert disk.live_pages <= pages_before
+        # Page and byte totals follow the surviving pages.
+        pages = [p for t in kf.tiles for p in t.pages]
+        assert kf.num_pages == len(pages) < pages_before
+        assert kf.size_bytes == sum(e.size for p in pages for e in p)
 
     def test_preview_does_not_mutate(self):
         dkeys = [(k * 13) % 50 for k in range(32)]

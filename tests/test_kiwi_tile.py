@@ -72,6 +72,18 @@ class TestWeaveInvariants:
         assert [e.key for e in tile.entries_sorted_by_key()] == list(range(16))
 
 
+    def test_tile_copies_the_callers_entry_list(self):
+        entries = make_entries(range(8), delete_keys=[3, 1, 4, 1, 5, 9, 2, 6])
+        tile = DeleteTile(
+            entries, page_entries=4, pages_per_tile=2, bits_per_key=10.0,
+            stats=Statistics(),
+        )
+        expected = list(entries)
+        entries.clear()
+        assert list(tile.entries_sorted_by_key()) == expected
+        assert tile.num_entries == 8
+
+
 class TestTileReads:
     def test_get_finds_every_key(self):
         tile, _ = make_tile(n=16)
